@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "classify/match_cache.h"
 #include "core/study.h"
 #include "filterlist/generate.h"
 #include "filterlist/reference.h"
@@ -174,29 +173,6 @@ void BM_EngineMatchIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineMatchIndexed);
 
-void BM_EngineMatchCached(benchmark::State& state) {
-  const auto& corpus = engine_corpus();
-  classify::MatchCache cache(/*capacity=*/4096, /*shards=*/8);
-  std::size_t i = 0;
-  std::size_t matched = 0;
-  for (auto _ : state) {
-    const auto context = corpus_context(corpus, i++ % corpus.urls.size());
-    std::uint64_t key = util::fnv1a(context.url);
-    key = util::mix64(key ^ util::fnv1a(context.page_host));
-    filterlist::MatchResult hit;
-    if (const auto cached = cache.lookup(key)) {
-      hit = *cached;
-    } else {
-      hit = corpus.indexed.match(context);
-      cache.insert(key, hit);
-    }
-    matched += hit.matched ? 1 : 0;
-  }
-  benchmark::DoNotOptimize(matched);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EngineMatchCached);
-
 void BM_PrefixTrieLookup(benchmark::State& state) {
   net::PrefixTrie<int> trie;
   util::Rng rng(2);
@@ -234,12 +210,11 @@ BENCHMARK(BM_DnsResolve);
 void BM_NetflowJoin(benchmark::State& state) {
   const auto& world = micro_world();
   const dns::Resolver resolver(world);
-  util::Rng rng(4);
   netflow::GeneratorConfig config;
   config.scale = 1e-6;
-  const auto exported =
-      netflow::generate_snapshot(world, resolver, netflow::default_isps()[0],
-                                 netflow::default_snapshots()[0], config, rng);
+  const auto exported = netflow::generate_snapshot_sharded(
+      world, resolver, netflow::default_isps()[0], netflow::default_snapshots()[0], config,
+      /*seed=*/4, /*pool=*/nullptr);
   netflow::TrackerIpIndex index;
   for (const auto id : world.tracking_domain_ids()) {
     for (const auto sid : world.domain(id).servers) index.add(world.server(sid).ip);

@@ -302,11 +302,9 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
   const std::uint64_t seed = util::mix64(config_.world.seed ^ util::mix64(label));
   IspRun run;
   if (config_.storage.mode == store::Mode::StoreBacked) {
-    // Spill the snapshot to a record file as it is generated, then
-    // stream it back through the collector in bounded chunks: snapshot
-    // size is bounded by disk, resident memory by the chunk size. Both
-    // legs reuse the in-memory code paths, so the results match them
-    // bit for bit.
+    // Spill the snapshot to a record file as it is generated: snapshot
+    // size is bounded by disk, resident memory by the join's chunk and
+    // page budgets.
     CBWT_EXPECTS(!config_.storage.directory.empty());
     std::filesystem::create_directories(config_.storage.directory);
     std::string stem;
@@ -322,15 +320,13 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     // The collect leg is the out-of-core radix join: partition the
     // snapshot into compressed flow pages beside the record file, probe
     // against per-partition tracker tables. Bit-identical to the
-    // in-memory collect_sharded branch below (the executable spec).
+    // in-memory collect_sharded branch below (the executable spec). The
+    // join runs at its default geometry, which the committed Table 8
+    // expectation's spill volume is pinned to.
     netflow::JoinConfig join_config;
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
         std::to_string(snapshot.day);
-    join_config.partitions = config_.storage.join_partitions;
-    join_config.chunk_records = config_.storage.chunk_records;
-    join_config.spill_min_shard_records = config_.storage.join_spill_min_shard_records;
-    join_config.spill_max_shards = config_.storage.join_spill_max_shards;
     run.collection = netflow::join_flows(
         store::RecordSource<netflow::WireCodec>(
             netflow::SnapshotReader(path, config_.registry)),

@@ -10,25 +10,6 @@ namespace cbwt::netflow {
 
 void TrackerIpIndex::add(const net::IpAddress& ip) { ips_.insert(ip); }
 
-TrackerIpIndex TrackerIpIndex::from_pdns(const pdns::Store& store, pdns::Day day) {
-  TrackerIpIndex index;
-  for (const auto& ip : store.all_ips()) {
-    for (const auto* record : store.reverse(ip)) {
-      if (record->first_seen <= day && day <= record->last_seen) {
-        index.add(ip);
-        break;
-      }
-    }
-  }
-  return index;
-}
-
-TrackerIpIndex TrackerIpIndex::from_pdns_all_time(const pdns::Store& store) {
-  TrackerIpIndex index;
-  for (const auto& ip : store.all_ips()) index.add(ip);
-  return index;
-}
-
 bool TrackerIpIndex::contains(const net::IpAddress& ip) const noexcept {
   return ips_.contains(ip);
 }
@@ -126,22 +107,24 @@ CollectionResult collect_sharded(std::span<const RawRecord> records,
   CBWT_ENSURES(result.records_seen + result.dropped_records == records.size());
 
   span.set_items(result.records_seen);
-  if (registry != nullptr) {
-    registry->counter("cbwt_netflow_records_collected_total").add(result.records_seen);
-    registry->counter("cbwt_netflow_internal_total").add(result.internal_records);
-    registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
-    obs::record_channel_stats(registry, channel_stats);
-  }
+  publish_collection(result, registry, fault_plan);
+  obs::record_channel_stats(registry, channel_stats);
+  return result;
+}
+
+void publish_collection(const CollectionResult& result, obs::Registry* registry,
+                        const fault::FaultPlan* fault_plan) {
+  if (registry == nullptr) return;
+  registry->counter("cbwt_netflow_records_collected_total").add(result.records_seen);
+  registry->counter("cbwt_netflow_internal_total").add(result.internal_records);
+  registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
   if (fault_plan != nullptr &&
       fault_plan->site(fault::sites::kNetflowExport).rates.any()) {
     const auto metrics =
         fault::SiteMetrics::resolve(registry, fault::sites::kNetflowExport);
-    if (metrics.injected != nullptr && result.dropped_records > 0) {
-      metrics.injected->add(result.dropped_records);
-    }
+    if (result.dropped_records > 0) metrics.injected->add(result.dropped_records);
     metrics.count_degraded(result.dropped_records);
   }
-  return result;
 }
 
 }  // namespace cbwt::netflow

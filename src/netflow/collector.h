@@ -18,22 +18,15 @@
 #include "netflow/profile.h"
 #include "netflow/record.h"
 #include "obs/metrics.h"
-#include "pdns/store.h"
 #include "runtime/thread_pool.h"
 
 namespace cbwt::netflow {
 
-/// The set of known tracking-service IPs, optionally time-bounded.
+/// The set of known tracking-service IPs. Callers window it to the
+/// snapshot day (pdns::Store::ips_of_registrable_at) before adding.
 class TrackerIpIndex {
  public:
   void add(const net::IpAddress& ip);
-
-  /// Builds the index from a pDNS store: every IP with at least one
-  /// (domain, IP) record whose window covers `day`.
-  [[nodiscard]] static TrackerIpIndex from_pdns(const pdns::Store& store, pdns::Day day);
-
-  /// Same, but ignoring validity windows (the no-window ablation).
-  [[nodiscard]] static TrackerIpIndex from_pdns_all_time(const pdns::Store& store);
 
   [[nodiscard]] bool contains(const net::IpAddress& ip) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return ips_.size(); }
@@ -105,5 +98,14 @@ struct CollectOptions {
                                                runtime::ThreadPool* pool,
                                                obs::Registry* registry = nullptr,
                                                const fault::FaultPlan* fault_plan = nullptr);
+
+/// Publishes one collection run into `registry` (null = no-op): the
+/// collect-parity counters cbwt_netflow_{records_collected,internal,
+/// matched}_total and, when `fault_plan` injects at the netflow_export
+/// site, that site's injected/degraded counters. The one publisher of
+/// both collection paths (collect_sharded and the out-of-core
+/// join_flows), so their reports carry the same keys and values.
+void publish_collection(const CollectionResult& result, obs::Registry* registry,
+                        const fault::FaultPlan* fault_plan);
 
 }  // namespace cbwt::netflow

@@ -17,7 +17,6 @@
 #include "netflow/record.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "util/prng.h"
 #include "world/world.h"
 
 namespace cbwt::netflow {
@@ -40,22 +39,18 @@ struct GeneratorConfig {
   std::uint16_t routers = 48;
 };
 
-/// One ISP-day of sampled records, plus bookkeeping for the analysis.
-struct SnapshotExport {
-  std::vector<RawRecord> records;
+/// Bookkeeping of one ISP-day snapshot.
+struct SnapshotCounts {
+  std::uint64_t records = 0;             ///< records exported (all streams)
   std::uint64_t tracking_intended = 0;   ///< ground-truth tracking records
   std::uint64_t background_intended = 0;
 };
 
-/// Emits the sampled records of `isp` on snapshot `snapshot`, drawing
-/// every record from the single serial `rng` stream (the pre-runtime
-/// code path; kept for ablations that sweep a generator in isolation).
-[[nodiscard]] SnapshotExport generate_snapshot(const world::World& world,
-                                               const dns::Resolver& resolver,
-                                               const IspProfile& isp,
-                                               const Snapshot& snapshot,
-                                               const GeneratorConfig& config,
-                                               util::Rng& rng);
+/// One ISP-day of sampled records, plus bookkeeping for the analysis.
+struct SnapshotExport {
+  std::vector<RawRecord> records;
+  SnapshotCounts counts;
+};
 
 /// Sharded generation: record index space is split by plan_shards and
 /// every shard draws from its own RNG derived from (seed, stream label,
@@ -82,14 +77,6 @@ struct SnapshotExport {
                                                        runtime::ThreadPool* pool,
                                                        obs::Registry* registry = nullptr,
                                                        const fault::FaultPlan* fault_plan = nullptr);
-
-/// Bookkeeping of one streamed snapshot; the record payload went to the
-/// sink rather than a returned vector.
-struct SnapshotCounts {
-  std::uint64_t records = 0;
-  std::uint64_t tracking_intended = 0;
-  std::uint64_t background_intended = 0;
-};
 
 /// Streaming form of generate_snapshot_sharded: delivers the *identical*
 /// record sequence (same seed ⇒ same records in the same order, at any

@@ -40,6 +40,10 @@ constexpr std::uint64_t kJoinSpillStageLabel = 0x5B111;
 /// Manifest schema of the pass-1 spill set.
 constexpr std::string_view kManifestKind = "netflow-join-spill";
 
+/// Spill pages per streamed chunk in pass 2 (2048 pages = 8 MiB of page
+/// file per probe step, the store's residency unit).
+constexpr std::size_t kProbeChunkPages = 2048;
+
 /// Bucket edges of the per-phase duration histograms (seconds). Wide
 /// log-ish spacing: the smoke run lands in the sub-second buckets, the
 /// paper-scale sweep in the tens of seconds.
@@ -216,9 +220,8 @@ void partition_spill(const store::RecordSource<WireCodec>& source,
                      const fault::FaultPlan* fault_plan, obs::Registry* registry,
                      runtime::ChannelStats* channel_stats, std::uint64_t& dropped,
                      JoinStats& stats) {
-  obs::ScopedSpan span(registry, "netflow/join/partition");
-  obs::ScopedHistogramTimer timer(registry, "cbwt_netflow_join_spill_seconds",
-                                  kPhaseSecondsBounds);
+  obs::ScopedSpan span(registry, "netflow/join/partition",
+                      "cbwt_netflow_join_spill_seconds", kPhaseSecondsBounds);
   const fault::Site export_site =
       fault_plan != nullptr ? fault_plan->site(fault::sites::kNetflowExport)
                             : fault::Site{};
@@ -327,7 +330,6 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   CBWT_EXPECTS(config.partitions > 0);
   CBWT_EXPECTS(!config.spill_directory.empty());
   CBWT_EXPECTS(config.chunk_records > 0);
-  CBWT_EXPECTS(config.probe_chunk_pages > 0);
   CBWT_EXPECTS(config.spill_min_shard_records > 0);
   CBWT_EXPECTS(config.spill_max_shards > 0);
   obs::ScopedSpan span(registry, "netflow/join");
@@ -337,7 +339,7 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   JoinStats run_stats;
   runtime::ChannelStats channel_stats;  // shared by spill + probe streams
   const bool resumed =
-      config.resume && source.store_backed() &&
+      source.store_backed() &&
       try_resume(config.spill_directory + "/join_manifest.txt", config, source.size(),
                  source.reader()->checksum(), fault_signature(fault_plan), dropped,
                  run_stats);
@@ -366,9 +368,8 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   // merge in shard order. Every per-record update below is order-free —
   // counter sums and per-IP increments — so the partition-sliced order
   // equals the sequential collect() order bit for bit.
-  obs::ScopedSpan probe_span(registry, "netflow/join/probe");
-  obs::ScopedHistogramTimer probe_timer(registry, "cbwt_netflow_join_probe_seconds",
-                                        kPhaseSecondsBounds);
+  obs::ScopedSpan probe_span(registry, "netflow/join/probe",
+                            "cbwt_netflow_join_probe_seconds", kPhaseSecondsBounds);
   auto result = runtime::sharded_reduce<CollectionResult>(
       pool, config.partitions, {.min_shard_items = 1, .channel_stats = &channel_stats},
       /*seed=*/0, kJoinStageLabel,
@@ -379,7 +380,7 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
           const store::RecordFileReader<FlowPageCodec> reader(partition_path(config, p),
                                                              registry);
           reader.for_each_chunk(
-              config.probe_chunk_pages,
+              kProbeChunkPages,
               [&](std::span<const FlowPage> pages, std::uint64_t /*page_base*/) {
                 for (const FlowPage& page : pages) {
                   for (const RawRecord& record : page.records) {
@@ -417,10 +418,8 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
 
   probe_span.set_items(result.records_seen);
   span.set_items(result.records_seen);
+  publish_collection(result, registry, fault_plan);
   if (registry != nullptr) {
-    registry->counter("cbwt_netflow_records_collected_total").add(result.records_seen);
-    registry->counter("cbwt_netflow_internal_total").add(result.internal_records);
-    registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
     registry->counter("cbwt_netflow_join_partitions_total").add(config.partitions);
     registry->counter("cbwt_netflow_join_spill_bytes_total").add(run_stats.spill_bytes);
     registry->counter("cbwt_netflow_join_spill_records_total")
@@ -433,15 +432,6 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
     registry->counter("cbwt_netflow_join_resumed_total").add(resumed ? 1 : 0);
     registry->counter("cbwt_netflow_join_probe_records_total").add(result.records_seen);
     obs::record_channel_stats(registry, channel_stats);
-  }
-  if (fault_plan != nullptr &&
-      fault_plan->site(fault::sites::kNetflowExport).rates.any()) {
-    const auto metrics =
-        fault::SiteMetrics::resolve(registry, fault::sites::kNetflowExport);
-    if (metrics.injected != nullptr && result.dropped_records > 0) {
-      metrics.injected->add(result.dropped_records);
-    }
-    metrics.count_degraded(result.dropped_records);
   }
   if (stats != nullptr) *stats = run_stats;
   return result;

@@ -18,8 +18,11 @@ double thread_cpu_seconds_now() {
 
 }  // namespace
 
-ScopedSpan::ScopedSpan(Registry* registry, std::string_view name) : registry_(registry) {
+ScopedSpan::ScopedSpan(Registry* registry, std::string_view name,
+                       std::string_view histogram, std::span<const double> bounds)
+    : registry_(registry) {
   if (registry_ == nullptr) return;
+  if (!histogram.empty()) histogram_ = &registry_->histogram(histogram, bounds);
   name_ = name;
   auto context = registry_->begin_span(name_);
   parent_ = std::move(context.parent);
@@ -30,19 +33,6 @@ ScopedSpan::ScopedSpan(Registry* registry, std::string_view name) : registry_(re
   wall_begin_ = std::chrono::steady_clock::now();
   process_cpu_begin_ = std::clock();
   thread_cpu_begin_ = thread_cpu_seconds_now();
-}
-
-ScopedHistogramTimer::ScopedHistogramTimer(Registry* registry, std::string_view name,
-                                           std::span<const double> bounds) {
-  if (registry == nullptr) return;
-  histogram_ = &registry->histogram(name, bounds);
-  begin_ = std::chrono::steady_clock::now();
-}
-
-ScopedHistogramTimer::~ScopedHistogramTimer() {
-  if (histogram_ == nullptr) return;
-  histogram_->observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin_).count());
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -57,6 +47,7 @@ ScopedSpan::~ScopedSpan() {
   record.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin_)
           .count();
+  if (histogram_ != nullptr) histogram_->observe(record.wall_seconds);
   record.process_cpu_seconds = static_cast<double>(std::clock() - process_cpu_begin_) /
                                static_cast<double>(CLOCKS_PER_SEC);
   record.thread_cpu_seconds = thread_cpu_seconds_now() - thread_cpu_begin_;

@@ -13,6 +13,12 @@
 // When the registry has a TraceBuffer armed, every span additionally
 // emits a begin/end event pair so main-thread stages appear on the
 // Chrome trace timeline alongside the worker events.
+//
+// A span can also observe its wall time into a registry histogram on
+// close. Phase histograms (e.g. cbwt_netflow_join_spill_seconds) make a
+// speedup visible in run_report() and on the live inspector's /metrics
+// without diffing span logs. Timing lives here because obs owns every
+// clock read in the tree (cbwt-lint wall-clock / steady-clock rules).
 #pragma once
 
 #include <chrono>
@@ -28,8 +34,12 @@ namespace cbwt::obs {
 
 class ScopedSpan {
  public:
-  /// Opens the span; `registry == nullptr` disables it entirely.
-  ScopedSpan(Registry* registry, std::string_view name);
+  /// Opens the span; `registry == nullptr` disables it entirely. A
+  /// non-empty `histogram` names a registry histogram that receives the
+  /// span's wall seconds once, on close; `bounds` is consulted on the
+  /// histogram's first creation only.
+  ScopedSpan(Registry* registry, std::string_view name, std::string_view histogram = {},
+             std::span<const double> bounds = {});
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -40,6 +50,7 @@ class ScopedSpan {
 
  private:
   Registry* registry_;
+  Histogram* histogram_ = nullptr;
   std::string name_;
   std::string parent_;
   std::uint64_t depth_ = 0;
@@ -47,29 +58,6 @@ class ScopedSpan {
   std::chrono::steady_clock::time_point wall_begin_{};
   std::clock_t process_cpu_begin_{};
   double thread_cpu_begin_ = 0.0;
-};
-
-/// Observes the enclosing scope's wall time (seconds) into a registry
-/// histogram on exit. Pairs with ScopedSpan when a stage's duration
-/// should also surface as a Prometheus histogram — phase histograms
-/// (e.g. cbwt_netflow_join_spill_seconds) make a speedup visible in
-/// run_report() and on the live inspector's /metrics without diffing
-/// span logs. Purely observational: the timing never feeds back into
-/// results, and a null registry makes it a no-op. Timing lives here
-/// because obs owns every clock read in the tree (cbwt-lint wall-clock
-/// / steady-clock rules).
-class ScopedHistogramTimer {
- public:
-  /// `bounds` is consulted on the histogram's first creation only.
-  ScopedHistogramTimer(Registry* registry, std::string_view name,
-                       std::span<const double> bounds);
-  ~ScopedHistogramTimer();
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-
- private:
-  Histogram* histogram_ = nullptr;
-  std::chrono::steady_clock::time_point begin_{};
 };
 
 }  // namespace cbwt::obs

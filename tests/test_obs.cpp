@@ -153,6 +153,31 @@ TEST(ScopedSpan, NullRegistryIsANoOp) {
   span.set_items(99);  // must not crash or record anywhere
 }
 
+TEST(ScopedSpan, HistogramObservesTheSpansWallTimeOnce) {
+  const std::array<double, 2> bounds = {0.5, 10.0};
+  Registry registry;
+  {
+    ScopedSpan plain(&registry, "study/plain");
+  }
+  EXPECT_TRUE(registry.histograms().empty());  // no histogram unless named
+  {
+    ScopedSpan span(&registry, "study/phase", "cbwt_obs_test_phase_seconds", bounds);
+  }
+  {
+    // A null registry disables the histogram along with the span.
+    ScopedSpan off(nullptr, "study/phase", "cbwt_obs_test_phase_seconds", bounds);
+  }
+  const auto spans = registry.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "study/phase");
+  const auto histograms = registry.histograms();
+  ASSERT_EQ(histograms.size(), 1u);
+  EXPECT_EQ(histograms[0].name, "cbwt_obs_test_phase_seconds");
+  EXPECT_EQ(histograms[0].bounds, (std::vector<double>{0.5, 10.0}));
+  EXPECT_EQ(histograms[0].count, 1u);
+  EXPECT_EQ(histograms[0].sum, spans[1].wall_seconds);
+}
+
 // --- runtime bridges --------------------------------------------------
 
 TEST(RuntimeMetrics, ChannelStatsRecordedAndZeroStatsSkipped) {

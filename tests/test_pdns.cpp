@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace cbwt::pdns {
 namespace {
 
@@ -80,6 +82,25 @@ TEST(Store, IpsOfRegistrable) {
   const auto ips = store.ips_of_registrable("t.com");
   ASSERT_EQ(ips.size(), 2U);
   EXPECT_TRUE(store.ips_of_registrable("nope").empty());
+}
+
+TEST(Store, IpsOfRegistrableAtRespectsWindow) {
+  // The production join list of an ISP-day snapshot: every IP whose
+  // (domain, IP) validity window covers the day, windows inclusive.
+  Store store;
+  store.observe("a.t.com", "t.com", ip(1), 10);
+  store.observe("a.t.com", "t.com", ip(1), 20);
+  store.observe("b.t.com", "t.com", ip(2), 50);
+  using Ips = std::vector<net::IpAddress>;
+  EXPECT_EQ(store.ips_of_registrable_at("t.com", 15), Ips{ip(1)});
+  EXPECT_EQ(store.ips_of_registrable_at("t.com", 50), Ips{ip(2)});
+  EXPECT_EQ(store.ips_of_registrable_at("t.com", 10), Ips{ip(1)});
+  EXPECT_EQ(store.ips_of_registrable_at("t.com", 20), Ips{ip(1)});
+  EXPECT_TRUE(store.ips_of_registrable_at("t.com", 9).empty());
+  EXPECT_TRUE(store.ips_of_registrable_at("t.com", 21).empty());
+  EXPECT_TRUE(store.ips_of_registrable_at("nope", 15).empty());
+  // Ignoring windows, the registrable spans both IPs.
+  EXPECT_EQ(store.ips_of_registrable("t.com").size(), 2U);
 }
 
 class ReplicationTest : public ::testing::Test {

@@ -11,6 +11,7 @@
 
 #include "browser/dataset_store.h"
 #include "core/study.h"
+#include "netflow/join.h"
 #include "netflow/profile.h"
 #include "netflow/snapshot_store.h"
 #include "netflow/wire.h"
@@ -466,9 +467,6 @@ TEST_P(StoreBackedDeterminism, MatchesInMemoryBitForBit) {
   store_config.storage.mode = store::Mode::StoreBacked;
   store_config.storage.directory =
       temp_dir("backed_t" + std::to_string(GetParam()));
-  // An odd chunk size exercises chunk-boundary handling; results must
-  // not depend on it.
-  store_config.storage.chunk_records = 30'000;
   core::Study memory(memory_config);
   core::Study backed(store_config);
 
@@ -506,7 +504,7 @@ TEST(StoreJoinCounters, SpillBytesMatchDiskExactly) {
   const auto run = study.run_isp_snapshot(isp, snapshot);
 
   EXPECT_EQ(registry.counter_value("cbwt_netflow_join_partitions_total"),
-            config.storage.join_partitions);
+            netflow::JoinConfig{}.partitions);
   EXPECT_EQ(registry.counter_value("cbwt_netflow_join_probe_records_total"),
             run.collection.records_seen);
   EXPECT_EQ(registry.counter_value("cbwt_netflow_records_collected_total"),
